@@ -14,6 +14,7 @@
 #include "bdi/linkage/linkage.h"
 #include "bdi/linkage/meta_blocking.h"
 #include "bench_util.h"
+#include "support/linkage_oracle.h"
 
 using namespace bdi;
 using namespace bdi::linkage;
@@ -106,48 +107,46 @@ int main(int argc, char** argv) {
 
   // Matching-path identity: the batch bound pass (slab + vectorized
   // signature reductions, prefilter on) must produce the per-pair
-  // cascade's exact match list and scores — serial and across the thread
-  // budget. This is the end-to-end gate for the SIMD/batch dispatch: any
-  // divergence in the bound kernels or the slab compaction shows up here
-  // as identical: NO.
+  // reference cascade's exact match list and scores — serial and across
+  // the thread budget. This is the end-to-end gate for the SIMD/batch
+  // dispatch: any divergence in the bound kernels or the slab compaction
+  // shows up here as identical: NO.
   {
-    auto run_matching = [&](bool use_batch, size_t num_threads) {
-      LinkerConfig linker_config;
-      linker_config.use_prefilter = true;
-      linker_config.use_batch = use_batch;
-      linker_config.num_threads = num_threads;
-      Linker linker(&world.dataset, linker_config);
-      return linker.Run();
-    };
+    LinkerConfig linker_config;
+    linker_config.use_prefilter = true;
+    linker_config.num_threads = 1;
+    Linker linker(&world.dataset, linker_config);
+    LinkageResult batch_serial = linker.Run();
+    double batch_seconds = batch_serial.matching_seconds;
     WallTimer timer;
-    LinkageResult per_pair = run_matching(/*use_batch=*/false, 1);
+    std::vector<ScoredPair> per_pair =
+        ReferenceMatches(linker.extractor(), linker.scorer(),
+                         linker.last_candidates(), /*use_prefilter=*/true);
     double per_pair_seconds = timer.ElapsedSeconds();
-    timer.Reset();
-    LinkageResult batch_serial = run_matching(/*use_batch=*/true, 1);
-    double batch_seconds = timer.ElapsedSeconds();
-    LinkageResult batch_parallel = run_matching(/*use_batch=*/true, threads);
-    auto same = [](const LinkageResult& x, const LinkageResult& y) {
-      if (x.matches.size() != y.matches.size()) return false;
-      for (size_t i = 0; i < x.matches.size(); ++i) {
-        if (x.matches[i].pair.a != y.matches[i].pair.a ||
-            x.matches[i].pair.b != y.matches[i].pair.b ||
-            x.matches[i].score != y.matches[i].score) {
+    linker_config.num_threads = threads;
+    Linker parallel_linker(&world.dataset, linker_config);
+    LinkageResult batch_parallel = parallel_linker.Run();
+    auto same = [](const std::vector<ScoredPair>& x,
+                   const std::vector<ScoredPair>& y) {
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i].pair.a != y[i].pair.a || x[i].pair.b != y[i].pair.b ||
+            x[i].score != y[i].score) {
           return false;
         }
       }
       return true;
     };
-    bool identical =
-        same(per_pair, batch_serial) && same(per_pair, batch_parallel);
+    bool identical = same(per_pair, batch_serial.matches) &&
+                     same(per_pair, batch_parallel.matches);
     std::printf("\nmatching batch bound pass (%zu candidates, %zu matches): "
                 "per-pair %.1f ms, batch %.1f ms, identical: %s\n",
-                per_pair.num_candidates, per_pair.matches.size(),
-                per_pair.matching_seconds * 1000.0,
-                batch_serial.matching_seconds * 1000.0,
+                batch_serial.num_candidates, per_pair.size(),
+                per_pair_seconds * 1000.0, batch_seconds * 1000.0,
                 identical ? "yes" : "NO");
     json.Add("matching/per_pair", per_pair_seconds, 1,
              per_pair_seconds > 0.0
-                 ? static_cast<double>(per_pair.num_candidates) /
+                 ? static_cast<double>(batch_serial.num_candidates) /
                        per_pair_seconds
                  : 0.0);
     json.Add("matching/batch", batch_seconds, 1,

@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
   // E7b — anytime recall: the progressive scheduler under shrinking
   // comparison budgets on the mid-noise world. The bound ranking plus
   // closure pruning should keep most of the recall at half the
-  // comparisons; a budget of 100% must land exactly on the unbudgeted
-  // numbers.
+  // comparisons. The 100% anchor is the unbudgeted run (budget 0, the
+  // slab sweep), which compares every prefilter survivor.
   synth::SyntheticWorld world = NoisyWorld(0.5);
   TextTable anytime({"budget", "comparisons", "deferred", "recall", "f1",
                      "frac of full recall"});
@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   std::vector<CurvePoint> curve;
   auto run_budget = [&](double budget) {
     LinkerConfig config;
-    config.use_progressive = true;
     config.comparison_budget = budget;
     Linker linker(&world.dataset, config);
     LinkageResult result = linker.Run();

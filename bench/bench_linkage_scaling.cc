@@ -1,4 +1,4 @@
-// E8 — Linkage scalability on the shared-memory dataflow substrate:
+// E8 — Linkage scalability on the shared-memory executor:
 // runtime and throughput as the corpus grows, and the per-stage breakdown
 // (blocking / matching / clustering). Matching parallelizes across the
 // thread pool; the thread sweep shows the (machine-dependent) speedup.
@@ -12,6 +12,7 @@
 #include "bdi/common/table.h"
 #include "bdi/linkage/linkage.h"
 #include "bench_util.h"
+#include "support/linkage_oracle.h"
 
 using namespace bdi;
 using namespace bdi::linkage;
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
   bench::JsonReporter& json = bench_main.json();
   // Metrics ride along in the JSON; instrumentation is bitwise-neutral.
   if (json.enabled()) metrics::SetEnabled(true);
-  bench::Banner("E8", "linkage scalability (dataflow substrate)",
+  bench::Banner("E8", "linkage scalability (executor substrate)",
                 "runtime grows near-linearly with candidate count (blocking "
                 "keeps the pair space sparse); matching dominates and "
                 "parallelizes across threads");
@@ -68,24 +69,29 @@ int main(int argc, char** argv) {
   synth::SyntheticWorld world = synth::GenerateWorld(config);
   TextTable threads_table({"threads", "match ms", "speedup"});
   double baseline = 0.0;
-  // Identity reference: the per-pair cascade, serial. Every sweep run
-  // (batched slab path, any thread count) must reproduce its match list
-  // and scores bit for bit — identical_output below is the gate.
-  LinkageResult reference;
+  // Identity reference: the test-only per-pair cascade over the serial
+  // run's candidates. Every sweep run (slab sweep, and the scheduler with
+  // a budget covering every candidate, at any thread count) must
+  // reproduce its match list and scores bit for bit — identical_output
+  // below is the gate.
+  std::vector<ScoredPair> reference;
+  size_t num_candidates = 0;
   {
     LinkerConfig reference_config;
     reference_config.num_threads = 1;
-    reference_config.use_batch = false;
     Linker linker(&world.dataset, reference_config);
-    reference = linker.Run();
+    num_candidates = linker.Run().num_candidates;
+    reference = ReferenceMatches(linker.extractor(), linker.scorer(),
+                                 linker.last_candidates(),
+                                 reference_config.use_prefilter);
   }
   bool identical_output = true;
-  auto same_matches = [](const LinkageResult& x, const LinkageResult& y) {
-    if (x.matches.size() != y.matches.size()) return false;
-    for (size_t i = 0; i < x.matches.size(); ++i) {
-      if (x.matches[i].pair.a != y.matches[i].pair.a ||
-          x.matches[i].pair.b != y.matches[i].pair.b ||
-          x.matches[i].score != y.matches[i].score) {
+  auto same_matches = [&reference](const LinkageResult& y) {
+    if (reference.size() != y.matches.size()) return false;
+    for (size_t i = 0; i < reference.size(); ++i) {
+      if (reference[i].pair.a != y.matches[i].pair.a ||
+          reference[i].pair.b != y.matches[i].pair.b ||
+          reference[i].score != y.matches[i].score) {
         return false;
       }
     }
@@ -96,17 +102,18 @@ int main(int argc, char** argv) {
     linker_config.num_threads = threads;
     Linker linker(&world.dataset, linker_config);
     LinkageResult result = linker.Run();
-    identical_output = identical_output && same_matches(reference, result);
-    // The progressive scheduler with an unlimited budget reorders the
-    // comparisons but must never change a score: same gate, same
-    // reference, every thread count.
+    identical_output = identical_output && same_matches(result);
+    // The progressive scheduler with a budget covering every candidate
+    // reorders the comparisons but must never change a score: same gate,
+    // same reference, every thread count.
     {
       LinkerConfig progressive_config = linker_config;
-      progressive_config.use_progressive = true;
+      progressive_config.comparison_budget =
+          static_cast<double>(num_candidates);
       Linker progressive_linker(&world.dataset, progressive_config);
       LinkageResult progressive_result = progressive_linker.Run();
       identical_output =
-          identical_output && same_matches(reference, progressive_result);
+          identical_output && same_matches(progressive_result);
     }
     if (threads == 1) baseline = result.matching_seconds;
     threads_table.AddRow(

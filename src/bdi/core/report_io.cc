@@ -1,6 +1,7 @@
 #include "bdi/core/report_io.h"
 
 #include <charconv>
+#include <cstdio>
 #include <limits>
 #include <map>
 
@@ -34,6 +35,14 @@ Result<double> ParseDouble(const std::string& text, const char* file,
                                    ": not a number: '" + text + "'");
   }
   return value;
+}
+
+/// Round-trip text for a double: 17 significant digits parse back to the
+/// same bits, so a reloaded view answers bitwise like the original.
+std::string ExactDouble(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
 }
 
 Status RangeError(const char* file, size_t row, const char* what,
@@ -82,7 +91,7 @@ Status SaveIntegration(const IntegrationReport& report,
       const fusion::DataItem& item = report.claims.items()[i];
       fused.push_back({std::to_string(item.entity),
                        std::to_string(item.attr), report.fusion.chosen[i],
-                       FormatDouble(report.fusion.confidence[i], 6)});
+                       ExactDouble(report.fusion.confidence[i])});
       for (const fusion::Claim& claim : item.claims) {
         claims.push_back({std::to_string(item.entity),
                           std::to_string(item.attr),

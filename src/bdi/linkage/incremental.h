@@ -26,8 +26,12 @@ namespace bdi::linkage {
 /// schemas keep the cheap fast path.
 class IncrementalLinker {
  public:
+  /// Linking settings, fixed at construction except for the two budgets
+  /// (see set_comparison_budget() and set_budget_ms()).
   struct Config {
+    /// Pair scorer kind (LinkerConfig::scorer).
     ScorerKind scorer = ScorerKind::kRule;
+    /// Match threshold applied to the scorer (LinkerConfig::threshold).
     double threshold = 0.5;
     /// Name-token postings longer than this stop generating candidates
     /// (stop-word guard).
@@ -44,8 +48,7 @@ class IncrementalLinker {
     /// absolute count). Non-zero routes the batch through the
     /// bound-ranked scheduler (progressive.h), spending the budget on
     /// the highest-bound candidate pairs first — a fixed latency budget
-    /// per update batch. With it unlimited the edge set is bitwise
-    /// identical to the classic path.
+    /// per update batch. With it unlimited the batch runs the slab sweep.
     double comparison_budget = 0.0;
     /// Wall-clock deadline per AddNewRecords() batch, in milliseconds
     /// (LinkerConfig::budget_ms semantics: 0 = none, positive routes the
@@ -74,12 +77,15 @@ class IncrementalLinker {
   /// labels).
   EntityClusters Clusters() const;
 
+  /// Records indexed so far (the dataset prefix AddNewRecords() covered).
   size_t num_indexed() const { return next_record_; }
+  /// Matched edges kept, tombstoned endpoints included.
   size_t num_edges() const { return edges_.size(); }
+  /// Pair comparisons made over every AddNewRecords() call.
   size_t total_comparisons() const { return total_comparisons_; }
 
-  /// Scheduler stats of the last AddNewRecords() batch when a
-  /// comparison budget is configured (zero-initialized otherwise).
+  /// ScorePairs stats of the last AddNewRecords() batch
+  /// (zero-initialized before the first).
   const ProgressiveStats& last_progressive() const {
     return last_progressive_;
   }

@@ -24,6 +24,10 @@ enum class BlockerKind {
 
 enum class ScorerKind { kLinear, kRule, kLearned };
 
+/// A scorer of `kind` with its match threshold set to `threshold` (the
+/// factory behind Linker and IncrementalLinker).
+std::unique_ptr<PairScorer> MakeScorer(ScorerKind kind, double threshold);
+
 struct LinkerConfig {
   BlockerKind blocker = BlockerKind::kTokenPlusIdentifier;
   bool use_meta_blocking = false;
@@ -44,21 +48,15 @@ struct LinkerConfig {
   /// so this stays on by default; the switch exists for the equivalence
   /// tests and for A/B benchmarking.
   bool use_prefilter = true;
-  /// Batched matching: each worker fills a structure-of-arrays candidate
-  /// slab for its chunk, runs the vectorized bound pass over every lane,
-  /// then the full kernels over the compacted survivors
-  /// (ScoreCandidateSlab in batch.h). Scores are bitwise identical to the
-  /// per-pair loop for every scorer and thread count; off reinstates the
-  /// per-pair reference path for the equivalence tests and A/B benches.
-  bool use_batch = true;
-  /// Progressive comparison budget (ScorePairsProgressive in
-  /// progressive.h): 0 = unlimited, a value in (0, 1) = fraction of the
-  /// full-kernel comparisons the unbudgeted run would make, >= 1 = an
-  /// absolute comparison count. Any non-zero value routes matching
-  /// through the bound-ranked scheduler, which compares the
-  /// highest-bound candidates first and stops when the budget runs out —
-  /// so the match set at a small budget is a subset of the match set at a
-  /// larger one, and recall is anytime rather than all-or-nothing.
+  /// Progressive comparison budget (ScorePairs in progressive.h):
+  /// 0 = unlimited, a value in (0, 1) = fraction of the full-kernel
+  /// comparisons the unbudgeted run would make, >= 1 = an absolute
+  /// comparison count. Any non-zero value routes matching through the
+  /// bound-ranked scheduler, which compares the highest-bound candidates
+  /// first and stops when the budget runs out — so the match set at a
+  /// small budget is a subset of the match set at a larger one, and
+  /// recall is anytime rather than all-or-nothing. With neither a budget
+  /// nor a deadline, matching is the chunked slab sweep.
   double comparison_budget = 0.0;
   /// Wall-clock deadline for the pairwise matching stage, in milliseconds
   /// (0 = none). Any positive value routes matching through the
@@ -70,12 +68,6 @@ struct LinkerConfig {
   /// time, so deadline-stopped match sets are reproducible in *form*
   /// (a prefix of the deterministic schedule) but not in size.
   double budget_ms = 0.0;
-  /// Forces the progressive scheduler even with an unlimited budget
-  /// (comparison_budget == 0). With no budget the scheduler's match set
-  /// is bitwise identical to the classic slab path — scheduling changes
-  /// comparison order, never scores — which is exactly what the
-  /// equivalence tests and bench gates pin with this switch.
-  bool use_progressive = false;
 };
 
 struct LinkageResult {
@@ -90,8 +82,8 @@ struct LinkageResult {
   /// Candidates the prefilter rejected without running the full kernels
   /// (0 when the cascade is off or the scorer declines to bound).
   size_t num_prefiltered = 0;
-  /// Full-kernel comparisons the progressive scheduler executed (0 when
-  /// matching ran the classic path).
+  /// Full-kernel comparisons matching executed (the prefilter survivors
+  /// when unbudgeted; at most the budget otherwise).
   size_t num_scheduled = 0;
   /// Prefilter survivors the progressive scheduler left uncompared
   /// because the comparison budget ran out (0 when unbudgeted).

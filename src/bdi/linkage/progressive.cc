@@ -1,6 +1,7 @@
 #include "bdi/linkage/progressive.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -65,9 +66,20 @@ metrics::Histogram& MatchPositionHistogram() {
   return *histogram;
 }
 
-// Shared with the classic cascade (linkage.cc / batch.cc): same names
-// register the same instruments, so every matching path feeds one
-// prefilter surface.
+metrics::Counter& MatchChunksCounter() {
+  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
+      "bdi.linkage.matching.chunks");
+  return *counter;
+}
+
+metrics::Counter& ScratchReusesCounter() {
+  static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
+      "bdi.linkage.matching.scratch_reuses");
+  return *counter;
+}
+
+// Shared with the slab cascade (batch.cc): same names register the same
+// instruments, so the sweep and the scheduler feed one prefilter surface.
 
 metrics::Counter& PrefilterEvaluatedCounter() {
   static metrics::Counter* counter = metrics::Registry::Get().RegisterCounter(
@@ -89,9 +101,50 @@ metrics::Histogram& PrefilterBoundGapHistogram() {
   return *histogram;
 }
 
-/// Same chunk floor as the classic matching loop (linkage.cc): small
-/// enough to balance skewed blocks, large enough to amortize slab warm-up.
+/// Pairs per scored chunk: small enough that skewed blocks still balance
+/// across workers, large enough that one slab warm-up amortizes over many
+/// pairs.
 constexpr size_t kMinScoreChunk = 64;
+
+/// The unbudgeted path: chunked scoring over the shared executor. Each
+/// claimed chunk checks a slab out of the pool — the vectorized bound pass
+/// sweeps every lane, then the full kernels run over the compacted
+/// survivors — and writes disjoint per-index slots, so the result is
+/// identical for every thread count. Slabs parked between chunks stay
+/// warm (scores never depend on slab state); the pool's mutex guards only
+/// the checkout and return, never the scoring.
+ProgressiveStats SweepSlabs(const FeatureExtractor& extractor,
+                            const PairScorer& scorer,
+                            const CandidatePair* pairs, size_t n,
+                            bool use_prefilter, size_t num_threads,
+                            double* scores, uint8_t* scored) {
+  const bool metrics_on = metrics::Enabled();
+  std::atomic<size_t> skipped{0};
+  SlabPool slab_pool;
+  ParallelForRanges(
+      n,
+      [&](size_t begin, size_t end) {
+        SlabPool::Lease slab(slab_pool);
+        size_t chunk_skipped =
+            ScoreCandidateSlab(extractor, scorer, pairs + begin,
+                               end - begin, use_prefilter, *slab,
+                               scores + begin);
+        if (chunk_skipped > 0) {
+          skipped.fetch_add(chunk_skipped, std::memory_order_relaxed);
+        }
+        if (metrics_on) {
+          MatchChunksCounter().Add();
+          ScratchReusesCounter().Add(end - begin - 1);
+        }
+      },
+      num_threads, kMinScoreChunk);
+  std::fill(scored, scored + n, uint8_t{1});
+  ProgressiveStats stats;
+  stats.num_skipped = skipped.load(std::memory_order_relaxed);
+  stats.num_survivors = n - stats.num_skipped;
+  stats.num_scheduled = stats.num_survivors;
+  return stats;
+}
 
 }  // namespace
 
@@ -147,13 +200,16 @@ Result<double> ParseComparisonBudget(const std::string& spec) {
   return value;  // 0 = unlimited, >= 1 = absolute count
 }
 
-ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
-                                       const PairScorer& scorer,
-                                       const CandidatePair* pairs, size_t n,
-                                       double comparison_budget,
-                                       double budget_ms, bool use_prefilter,
-                                       size_t num_threads, double* scores,
-                                       uint8_t* scored) {
+ProgressiveStats ScorePairs(const FeatureExtractor& extractor,
+                            const PairScorer& scorer,
+                            const CandidatePair* pairs, size_t n,
+                            double comparison_budget, double budget_ms,
+                            bool use_prefilter, size_t num_threads,
+                            double* scores, uint8_t* scored) {
+  if (comparison_budget <= 0.0 && budget_ms <= 0.0) {
+    return SweepSlabs(extractor, scorer, pairs, n, use_prefilter,
+                      num_threads, scores, scored);
+  }
   // The deadline clock starts at entry so the bound pass and scheduling
   // count against it — a serving batch's latency budget covers the whole
   // call, not just the kernel rounds.
@@ -221,8 +277,8 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
 
   // Helper shared by both pass-3 shapes: full kernels over
   // schedule[begin..end), gathered into slab staging and scattered back
-  // to the pairs' original slots. Every score is the same bits the
-  // classic slab path produces for that pair.
+  // to the pairs' original slots. Every score is the same bits the slab
+  // sweep produces for that pair.
   auto score_range = [&](size_t begin, size_t end) {
     SlabPool::Lease slab(slab_pool);
     size_t m = end - begin;
@@ -242,9 +298,9 @@ ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
   };
 
   if (stats.budget >= stats.num_survivors && budget_ms <= 0.0) {
-    // Pass 3, unbudgeted: every survivor gets its full kernels, one
-    // parallel sweep. Order is irrelevant to the output — all slots are
-    // scored — so this is bitwise identical to the classic path.
+    // Pass 3, budget covering every survivor: each gets its full kernels,
+    // one parallel sweep. Order is irrelevant to the output — all slots
+    // are scored — so this is bitwise identical to SweepSlabs.
     ParallelForRanges(stats.num_survivors, score_range, num_threads,
                       kMinScoreChunk);
     stats.num_scheduled = stats.num_survivors;

@@ -11,17 +11,20 @@
 
 namespace bdi::linkage {
 
-/// Bound-ranked comparison scheduling: the progressive (pay-as-you-go)
-/// matching stage. Every candidate pair gets a cheap score upper bound
-/// from the interned token evidence (the PR 4/6 cascade machinery); the
-/// pairs that could clear the scorer's threshold are then compared in
-/// deterministic bound-descending tiers until a comparison budget runs
-/// out. Early comparisons concentrate on the highest-value pairs, so the
-/// match set grows steeply at first and quality is *anytime*: stopping at
-/// a fraction of the comparisons keeps most of the recall (the
-/// recall-vs-comparisons curve in BENCH_linkage_quality.json). With the
-/// budget unlimited, the scheduler's match set is bitwise identical to
-/// the classic slab path — scheduling changes order, never scores.
+/// The matching stage's one entry point (ScorePairs below), used by the
+/// batch Linker and the IncrementalLinker alike. With no comparison budget
+/// and no deadline it is a chunked slab sweep: every candidate runs the
+/// comparison cascade (ScoreCandidateSlab in batch.h) in parallel chunks.
+/// Otherwise it is progressive (pay-as-you-go) matching: every candidate
+/// pair gets a cheap score upper bound from the interned token evidence;
+/// the pairs that could clear the scorer's threshold are then compared in
+/// deterministic bound-descending tiers until the budget runs out. Early
+/// comparisons concentrate on the highest-value pairs, so the match set
+/// grows steeply at first and quality is *anytime*: stopping at a
+/// fraction of the comparisons keeps most of the recall (the
+/// recall-vs-comparisons curve in BENCH_linkage_quality.json). Scheduling
+/// changes comparison order, never scores, so a schedule that compares
+/// every survivor is bitwise identical to the slab sweep.
 
 /// Number of quantized scorer-bound tiers the scheduler sorts survivors
 /// into. Within a tier, pairs keep candidate order — deliberately: the
@@ -76,8 +79,9 @@ size_t ResolveComparisonBudget(double comparison_budget, size_t num_payable);
 /// the ResolveComparisonBudget encoding.
 Result<double> ParseComparisonBudget(const std::string& spec);
 
-/// What one progressive scheduling run did (diagnostics and benches; the
-/// same numbers feed the bdi.linkage.progressive.* metrics).
+/// What one ScorePairs run did (diagnostics and benches; a scheduled run
+/// feeds the same numbers to the bdi.linkage.progressive.* metrics). The
+/// slab sweep fills only the skipped, survivor and scheduled counts.
 struct ProgressiveStats {
   /// Candidates whose score upper bound could not reach the threshold —
   /// rejected without the full kernels, exactly like the classic cascade
@@ -112,20 +116,21 @@ struct ProgressiveStats {
   size_t num_matches = 0;
 };
 
-/// Scores `pairs[0..n)` under the progressive scheduler. Writes one score
-/// per pair into `scores[0..n)` and sets `scored[i]` to 1 when that slot
-/// is authoritative: prefilter-skipped pairs record their bound (below
-/// threshold by construction) and scheduled pairs record their true
+/// Scores `pairs[0..n)`: the slab sweep when `comparison_budget` and
+/// `budget_ms` are both 0, the bound-ranked scheduler otherwise. Writes
+/// one score per pair into `scores[0..n)` and sets `scored[i]` to 1 when
+/// that slot is authoritative: prefilter-skipped pairs record their bound
+/// (below threshold by construction) and compared pairs record their true
 /// kernel score. Budget-deferred and closure-pruned pairs keep
 /// `scored[i] == 0` (their score slot is untouched — the caller must not
 /// read it); a closure-pruned pair's endpoints are already connected by
 /// found matches, so dropping it cannot change the transitive
 /// clustering. Matches are the scored slots at or above the scorer's
-/// threshold; with an unlimited budget every slot is scored, nothing is
-/// pruned, and the result is bitwise identical to ScoreCandidateSlab
-/// over the same pairs, for every scorer, thread count, and SIMD
-/// dispatch level. Under any budget the scored set — and so the match
-/// set — is a subset of the scored set at every larger budget.
+/// threshold. The sweep and a schedule whose budget covers every survivor
+/// score every slot, prune nothing, and produce the same bits for every
+/// scorer, thread count, and SIMD dispatch level. Under any budget the
+/// scored set — and so the match set — is a subset of the scored set at
+/// every larger budget.
 /// `comparison_budget` follows the ResolveComparisonBudget encoding;
 /// `budget_ms` (0 = no deadline) is a wall-clock deadline measured from
 /// entry and checked at every scheduling-round boundary — when it
@@ -137,13 +142,12 @@ struct ProgressiveStats {
 /// survivor, bounds are used for ordering only); `num_threads` bounds
 /// the parallel bound and kernel passes (0 = shared executor pool, 1 =
 /// serial) — the output is identical for every value.
-ProgressiveStats ScorePairsProgressive(const FeatureExtractor& extractor,
-                                       const PairScorer& scorer,
-                                       const CandidatePair* pairs, size_t n,
-                                       double comparison_budget,
-                                       double budget_ms, bool use_prefilter,
-                                       size_t num_threads, double* scores,
-                                       uint8_t* scored);
+ProgressiveStats ScorePairs(const FeatureExtractor& extractor,
+                            const PairScorer& scorer,
+                            const CandidatePair* pairs, size_t n,
+                            double comparison_budget, double budget_ms,
+                            bool use_prefilter, size_t num_threads,
+                            double* scores, uint8_t* scored);
 
 }  // namespace bdi::linkage
 

@@ -59,7 +59,7 @@ struct FindHit {
 };
 
 /// A resolved ask answer (self-contained: no report/dataset needed to
-/// serialize it). `found()` mirrors core::Answer.
+/// serialize it).
 struct AskAnswer {
   /// Best-matching entity cluster, or kInvalidEntity when nothing matched.
   EntityId cluster = kInvalidEntity;
@@ -89,10 +89,13 @@ struct AskAnswer {
 /// snapshots (RCU-style), so a reader holding a shared_ptr sees one
 /// consistent version for the lifetime of its request.
 ///
-/// Query semantics are index-accelerated (docs/SERVING.md): find only
-/// considers entities sharing at least one token with the query (posting
-/// lookups), scored 0.7 * overlap-coefficient + 0.3 * Monge-Elkan like the
-/// batch QueryEngine, ties broken by ascending cluster id.
+/// This is the one query engine: `bdi serve`, `bdi ask` (a one-shard
+/// snapshot) and the examples all answer through it. Query semantics are
+/// index-accelerated (docs/SERVING.md): find only considers entities
+/// sharing at least one token with the query (posting lookups), scored
+/// 0.7 * overlap-coefficient + 0.3 * Monge-Elkan, ties broken by ascending
+/// cluster id. An entity whose only similarity to the query is the fuzzy
+/// Monge-Elkan one is not a candidate.
 class Snapshot {
  public:
   /// Materializes a snapshot from a finished pipeline run. `version` tags
@@ -131,8 +134,10 @@ class Snapshot {
   std::string DebugString() const;
 
  private:
-  /// One shard: its entities (cluster ascending) plus the token postings
-  /// over their index terms (slot indexes into `entities`).
+  /// One shard: its entities (cluster ascending; shard s of n holds
+  /// clusters s, s + n, s + 2n, ..., so cluster c sits at slot c / n) plus
+  /// the token postings over their index terms (slot indexes into
+  /// `entities`).
   struct Shard {
     std::vector<ServedEntity> entities;
     std::unordered_map<std::string, std::vector<uint32_t>> postings;

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <memory>
 
-#include "bdi/core/query.h"
+#include "bdi/serve/snapshot.h"
 #include "bdi/synth/world.h"
 
 namespace bdi::core {
@@ -62,16 +62,15 @@ TEST(ReportIoTest, LoadedViewAnswersQueries) {
       LoadIntegration(fx.world.dataset, fx.dir);
   ASSERT_TRUE(loaded.ok());
 
-  QueryEngine original(&fx.report, &fx.world.dataset);
-  QueryEngine reloaded(&loaded.value(), &fx.world.dataset);
-  const std::string& name = fx.world.truth.true_values[0][0];
-  Answer a = original.Ask("brand", name);
-  Answer b = reloaded.Ask("brand", name);
-  EXPECT_EQ(a.found(), b.found());
-  if (a.found()) {
-    EXPECT_EQ(a.value, b.value);
-    EXPECT_EQ(a.support.size(), b.support.size());
-  }
+  // The query engine's whole state — entities, fused values, confidences
+  // (as %a hex) and provenance — built from either report must be equal,
+  // so `bdi ask --load-dir` answers exactly like a fresh integration.
+  auto build = [&fx](const IntegrationReport& report) {
+    return serve::Snapshot::Build(report, fx.world.dataset, /*num_shards=*/1,
+                                  /*version=*/1, /*num_threads=*/1)
+        ->DebugString();
+  };
+  EXPECT_EQ(build(fx.report), build(loaded.value()));
 }
 
 TEST(ReportIoTest, DetectsWrongCorpus) {

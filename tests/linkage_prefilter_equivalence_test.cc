@@ -15,6 +15,7 @@
 #include "bdi/synth/world.h"
 #include "bdi/text/interner.h"
 #include "bdi/text/similarity.h"
+#include "support/linkage_oracle.h"
 
 namespace bdi::linkage {
 namespace {
@@ -84,6 +85,29 @@ TEST(LinkagePrefilterParallelEquivalenceTest, LinearScorerParallel) {
   synth::SyntheticWorld world = MakeWorld();
   ExpectEquivalent(RunWith(world, ScorerKind::kLinear, 1, false),
                    RunWith(world, ScorerKind::kLinear, 8, true));
+}
+
+// Both cascade settings against the test-only per-pair reference over the
+// run's own candidates: the parallel slab sweep must land on the oracle's
+// match list bit for bit, with the prefilter on and off.
+TEST(LinkagePrefilterParallelEquivalenceTest, MatchesPerPairReference) {
+  synth::SyntheticWorld world = MakeWorld();
+  for (bool use_prefilter : {false, true}) {
+    LinkerConfig config;
+    config.num_threads = 8;
+    config.use_prefilter = use_prefilter;
+    Linker linker(&world.dataset, config);
+    LinkageResult result = linker.Run();
+    std::vector<ScoredPair> reference =
+        ReferenceMatches(linker.extractor(), linker.scorer(),
+                         linker.last_candidates(), use_prefilter);
+    ASSERT_EQ(reference.size(), result.matches.size()) << use_prefilter;
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(reference[i].pair.a, result.matches[i].pair.a) << i;
+      EXPECT_EQ(reference[i].pair.b, result.matches[i].pair.b) << i;
+      EXPECT_EQ(reference[i].score, result.matches[i].score) << i;
+    }
+  }
 }
 
 // Every candidate the prefilter would skip must truly score below the

@@ -1,8 +1,8 @@
-// Contracts of the progressive (budget-aware) matching scheduler:
-// with the budget unlimited it must reproduce the slab path's bits for
-// every scorer and thread count; under any budget its match set must be a
-// deterministic subset that only grows with the budget; and the anytime
-// recall curve must be non-decreasing in comparisons spent. Named
+// Contracts of the progressive (budget-aware) matching scheduler: with a
+// budget covering every candidate it must reproduce the slab sweep's bits
+// for every scorer and thread count; under any budget its match set must
+// be a deterministic subset that only grows with the budget; and the
+// anytime recall curve must be non-decreasing in comparisons spent. Named
 // *ParallelEquivalence* so the tsan/asan equivalence ctest presets pick
 // it up.
 #include <gtest/gtest.h>
@@ -48,15 +48,17 @@ LinkageResult RunProgressive(const synth::SyntheticWorld& world,
   LinkerConfig config;
   config.scorer = scorer;
   config.num_threads = num_threads;
-  config.use_progressive = true;
   config.comparison_budget = budget;
   Linker linker(&world.dataset, config);
   return linker.Run();
 }
 
-// Unlimited budget: the scheduler reorders comparisons but every pair is
-// still scored, so the result must be bitwise the slab path's — for all
-// three scorers, serial and with the slab pool exercised by 8 threads.
+// A budget covering every candidate: the scheduler ranks and reorders the
+// comparisons but still scores every survivor (its full-sweep branch), so
+// the result must be bitwise the slab sweep's — for all three scorers,
+// serial and with the slab pool exercised by 8 threads. An absolute
+// budget of the candidate count reaches that branch, because the
+// survivors never outnumber the candidates.
 TEST(LinkageProgressiveParallelEquivalenceTest, UnlimitedMatchesSlabPath) {
   synth::SyntheticWorld world = MakeWorld();
   for (ScorerKind kind :
@@ -66,8 +68,13 @@ TEST(LinkageProgressiveParallelEquivalenceTest, UnlimitedMatchesSlabPath) {
     config.num_threads = 1;
     Linker linker(&world.dataset, config);
     LinkageResult slab = linker.Run();
-    ExpectSameResult(slab, RunProgressive(world, kind, 1, 0.0));
-    ExpectSameResult(slab, RunProgressive(world, kind, 8, 0.0));
+    ASSERT_GT(slab.num_candidates, 0u);
+    double everything = static_cast<double>(slab.num_candidates);
+    LinkageResult scheduled = RunProgressive(world, kind, 1, everything);
+    EXPECT_EQ(scheduled.num_deferred, 0u);
+    EXPECT_EQ(scheduled.num_scheduled, slab.num_scheduled);
+    ExpectSameResult(slab, scheduled);
+    ExpectSameResult(slab, RunProgressive(world, kind, 8, everything));
   }
 }
 

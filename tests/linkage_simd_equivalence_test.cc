@@ -3,7 +3,8 @@
 // exactly the scalar path's bits, and the batch APIs (ExtractBatch /
 // ExtractBoundsBatch / ScoreBatch / ScoreUpperBoundBatch, and the
 // Linker's slab path) must produce exactly the single-pair path's bits —
-// for all three scorers, serial and parallel. Named *ParallelEquivalence*
+// for all three scorers, serial and parallel. The single-pair reference
+// for whole runs is the test-only oracle in support/linkage_oracle.h. Named *ParallelEquivalence*
 // so the tsan/asan equivalence ctest presets pick it up.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "bdi/synth/world.h"
 #include "bdi/text/interner.h"
 #include "bdi/text/similarity.h"
+#include "support/linkage_oracle.h"
 
 namespace bdi::linkage {
 namespace {
@@ -198,24 +200,43 @@ void ExpectSameResult(const LinkageResult& x, const LinkageResult& y) {
 }
 
 LinkageResult RunWith(const synth::SyntheticWorld& world, ScorerKind scorer,
-                      size_t num_threads, bool use_batch) {
+                      size_t num_threads) {
   LinkerConfig config;
   config.scorer = scorer;
   config.num_threads = num_threads;
-  config.use_batch = use_batch;
   Linker linker(&world.dataset, config);
   return linker.Run();
 }
 
-// The slab path must produce the per-pair path's exact result for every
-// scorer — serial, and with the slab pool exercised by 8 threads.
+void ExpectSameMatches(const std::vector<ScoredPair>& x,
+                       const std::vector<ScoredPair>& y) {
+  ASSERT_EQ(x.size(), y.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].pair.a, y[i].pair.a) << "match " << i;
+    EXPECT_EQ(x[i].pair.b, y[i].pair.b) << "match " << i;
+    EXPECT_EQ(x[i].score, y[i].score) << "match " << i;
+  }
+}
+
+// The slab path must produce the per-pair reference's exact match list
+// for every scorer — serial, and with the slab pool exercised by 8
+// threads — over the candidates Linker::Run generated.
 TEST(LinkageSimdParallelEquivalenceTest, SlabPathMatchesPerPair) {
   synth::SyntheticWorld world = MakeWorld();
   for (ScorerKind kind :
        {ScorerKind::kRule, ScorerKind::kLinear, ScorerKind::kLearned}) {
-    LinkageResult per_pair = RunWith(world, kind, 1, false);
-    ExpectSameResult(per_pair, RunWith(world, kind, 1, true));
-    ExpectSameResult(per_pair, RunWith(world, kind, 8, true));
+    LinkerConfig config;
+    config.scorer = kind;
+    config.num_threads = 1;
+    Linker linker(&world.dataset, config);
+    LinkageResult serial = linker.Run();
+    std::vector<ScoredPair> reference =
+        ReferenceMatches(linker.extractor(), linker.scorer(),
+                         linker.last_candidates(), config.use_prefilter);
+    ExpectSameMatches(reference, serial.matches);
+    LinkageResult parallel = RunWith(world, kind, 8);
+    ExpectSameMatches(reference, parallel.matches);
+    ExpectSameResult(serial, parallel);
   }
 }
 
@@ -226,10 +247,10 @@ TEST(LinkageSimdParallelEquivalenceTest, LinkageRunBitwiseAcrossLevels) {
   SimdLevelGuard guard;
   synth::SyntheticWorld world = MakeWorld();
   cpu::SetSimdLevel(cpu::SimdLevel::kScalar);
-  LinkageResult scalar = RunWith(world, ScorerKind::kRule, 1, true);
+  LinkageResult scalar = RunWith(world, ScorerKind::kRule, 1);
   for (cpu::SimdLevel level : SupportedLevels()) {
     cpu::SetSimdLevel(level);
-    ExpectSameResult(scalar, RunWith(world, ScorerKind::kRule, 1, true));
+    ExpectSameResult(scalar, RunWith(world, ScorerKind::kRule, 1));
   }
 }
 

@@ -13,7 +13,10 @@
 //                 25% of what an unbudgeted run would pay; the bound-ranked
 //                 scheduler spends it on the likeliest pairs first)
 //   bdi ask       --in corpus.csv --attribute weight --entity "Zorix QX-12"
-//                 [--load-dir saved/]   (reuse a saved integration)
+//                 [--load-dir saved/]   (reuse a saved integration; answers
+//                 through a one-shard serving snapshot, so only entities
+//                 sharing a token with --entity are candidates — the rule
+//                 `bdi serve` applies to {"op":"ask"})
 //   bdi evolve    --out-prefix snap --months 6 [--entities 300]
 //                 [--sources 12] [--seed 42]   (velocity snapshot series)
 //   bdi diff      --old snap_0.csv --new snap_3.csv   (change feed)
@@ -83,7 +86,6 @@
 #include "bdi/common/string_util.h"
 #include "bdi/common/table.h"
 #include "bdi/core/integrator.h"
-#include "bdi/core/query.h"
 #include "bdi/core/diff.h"
 #include "bdi/fusion/accu_copy.h"
 #include "bdi/fusion/bias.h"
@@ -93,6 +95,7 @@
 #include "bdi/model/dataset_io.h"
 #include "bdi/model/validate.h"
 #include "bdi/serve/server.h"
+#include "bdi/serve/snapshot.h"
 #include "bdi/schema/attribute_stats.h"
 #include "bdi/storage/bds_reader.h"
 #include "bdi/storage/bds_writer.h"
@@ -484,9 +487,13 @@ int CmdAsk(const Flags& flags) {
   } else {
     report = core::Integrator().Run(dataset.value());
   }
-  core::QueryEngine engine(&report, &dataset.value());
-  core::Answer answer =
-      engine.Ask(flags.Get("attribute", ""), flags.Get("entity", ""));
+  // The one query engine: a one-shard snapshot answers exactly as
+  // `bdi serve` does over the same report.
+  std::shared_ptr<const serve::Snapshot> snapshot = serve::Snapshot::Build(
+      report, dataset.value(), /*num_shards=*/1, /*version=*/1,
+      /*num_threads=*/1);
+  serve::AskAnswer answer =
+      snapshot->Ask(flags.Get("attribute", ""), flags.Get("entity", ""));
   if (!answer.found()) {
     std::printf("no answer\n");
     return 0;
@@ -494,8 +501,8 @@ int CmdAsk(const Flags& flags) {
   std::printf("%s of \"%s\" = %s  (confidence %.2f)\n",
               answer.attribute.c_str(), answer.entity_name.c_str(),
               answer.value.c_str(), answer.confidence);
-  for (const core::AnswerSupport& support : answer.support) {
-    std::printf("  %-24s %-16s %s\n", support.source_name.c_str(),
+  for (const serve::ServedClaim& support : answer.support) {
+    std::printf("  %-24s %-16s %s\n", support.source.c_str(),
                 support.value.c_str(),
                 support.agrees ? "agrees" : "dissents");
   }
